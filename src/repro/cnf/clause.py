@@ -141,6 +141,18 @@ class Clause:
         """Build a clause from DIMACS-style signed integers."""
         return cls([Literal.from_int(v) for v in encoded])
 
+    @classmethod
+    def from_canonical(cls, literals: tuple[Literal, ...]) -> "Clause":
+        """Wrap literals already deduplicated and in canonical order.
+
+        No checks and no sorting: the caller guarantees the invariant
+        (used by :class:`~repro.cnf.formula.CNFFormula` to build its
+        clause views from canonical int tuples).
+        """
+        clause = cls.__new__(cls)
+        clause._literals = literals
+        return clause
+
     def without_variable(self, variable: int) -> "Clause":
         """A copy of the clause with every literal of ``variable`` removed."""
         return Clause([lit for lit in self._literals if lit.variable != variable])

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from collections import Counter
+from functools import partial
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cnf.clause import Clause, LiteralLike
 from repro.cnf.literal import Literal
@@ -18,10 +22,68 @@ def _coerce_clause(clause: ClauseLike) -> Clause:
     return Clause(clause)
 
 
+#: One canonical clause: deduplicated DIMACS ints, ordered by variable then
+#: positive first (:func:`_literal_order`).
+IntClause = Tuple[int, ...]
+
+
+def _literal_order(lit: int) -> int:
+    """Sort key of the canonical literal order: variable, then positive first.
+
+    The same order :class:`~repro.cnf.clause.Clause` normalises to (and the
+    arena kernel's ``(var << 1) | sign`` encoding).
+    """
+    return lit << 1 if lit > 0 else ((-lit) << 1) | 1
+
+
+_canonical_sort = partial(sorted, key=_literal_order)
+
+
+def _canonical_ints(
+    clauses: Iterable[Iterable[int]],
+) -> tuple[tuple[IntClause, ...], int]:
+    """Validated canonical form of DIMACS int clauses, and their largest variable."""
+    rows = tuple(map(tuple, clauses))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        for lit in chain.from_iterable(rows):
+            if isinstance(lit, bool) or not isinstance(lit, int):
+                raise CNFError(f"cannot interpret {lit!r} as a DIMACS literal")
+        rows = tuple(tuple(map(int, row)) for row in rows)  # int subclasses
+    ints = tuple([tuple(_canonical_sort(set(row))) for row in rows])
+    # A canonical clause starts with its smallest variable (a 0 sorts before
+    # every literal) and ends with its largest.
+    nonempty = tuple(filter(None, ints))
+    if 0 in map(itemgetter(0), nonempty):
+        raise CNFError("0 is not a valid DIMACS literal (it terminates clauses)")
+    return ints, max(map(abs, map(itemgetter(-1), nonempty)), default=0)
+
+
+def _max_variable(ints: Iterable[IntClause]) -> int:
+    return max(map(abs, chain.from_iterable(ints)), default=0)
+
+
+def _checked_num_variables(num_variables: Optional[int], max_var: int) -> int:
+    """``num_variables`` (default ``max_var``), validated against ``max_var``."""
+    if num_variables is None:
+        return max_var
+    if num_variables < max_var:
+        raise CNFError(
+            f"num_variables={num_variables} but clause mentions x{max_var}"
+        )
+    if num_variables < 0:
+        raise CNFError(f"num_variables must be non-negative, got {num_variables}")
+    return int(num_variables)
+
+
 class CNFFormula:
     """A conjunction of clauses over variables ``x_1 .. x_{num_variables}``.
 
     The formula is immutable: all "mutating" operations return new formulas.
+    Its stored form is one tuple of canonical int clauses (deduplicated,
+    ordered by variable then positive first, exactly as :class:`Clause`
+    orders its literals). The :class:`Clause`/:class:`Literal` objects of
+    :attr:`clauses` and iteration are views built on first use; a formula
+    constructed from ``Clause`` objects keeps those objects as its view.
 
     Parameters
     ----------
@@ -34,44 +96,84 @@ class CNFFormula:
         when trailing variables are unconstrained.
     """
 
-    __slots__ = ("_clauses", "_num_variables", "_fingerprint")
+    __slots__ = ("_ints", "_clauses", "_num_variables", "_fingerprint")
 
     def __init__(
         self,
         clauses: Iterable[ClauseLike],
         num_variables: Optional[int] = None,
     ) -> None:
-        coerced = tuple(_coerce_clause(c) for c in clauses)
-        max_var = 0
-        for clause in coerced:
-            for lit in clause:
-                max_var = max(max_var, lit.variable)
-        if num_variables is None:
-            num_variables = max_var
-        if num_variables < max_var:
-            raise CNFError(
-                f"num_variables={num_variables} but clause mentions x{max_var}"
-            )
-        if num_variables < 0:
-            raise CNFError(f"num_variables must be non-negative, got {num_variables}")
-        self._clauses = coerced
-        self._num_variables = int(num_variables)
-        self._fingerprint: Optional[str] = None
+        views = tuple(_coerce_clause(c) for c in clauses)
+        ints = tuple(tuple(clause.to_ints()) for clause in views)
+        num_variables = _checked_num_variables(num_variables, _max_variable(ints))
+        self._set(ints, num_variables, views)
 
     # -- constructors ----------------------------------------------------------
+    def _set(
+        self,
+        ints: tuple[IntClause, ...],
+        num_variables: int,
+        views: Optional[tuple[Clause, ...]] = None,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        """Fill the slots from int clauses already in canonical form (no checks)."""
+        self._ints = ints
+        self._clauses = views
+        self._num_variables = num_variables
+        self._fingerprint = fingerprint
+
+    @classmethod
+    def _from_canonical(
+        cls,
+        ints: tuple[IntClause, ...],
+        num_variables: int,
+        views: Optional[tuple[Clause, ...]] = None,
+        fingerprint: Optional[str] = None,
+    ) -> "CNFFormula":
+        """A formula over int clauses already in canonical form (no checks)."""
+        formula = cls.__new__(cls)
+        formula._set(ints, num_variables, views, fingerprint)
+        return formula
+
     @classmethod
     def from_ints(
         cls,
         clauses: Iterable[Iterable[int]],
         num_variables: Optional[int] = None,
     ) -> "CNFFormula":
-        """Build a formula from DIMACS-style signed integer clauses."""
-        return cls([Clause.from_ints(c) for c in clauses], num_variables)
+        """Build a formula from DIMACS-style signed integer clauses.
+
+        Raises :class:`CNFError` for any literal that is not a non-zero
+        ``int`` (``bool`` included). No ``Clause`` objects are built.
+        """
+        ints, max_var = _canonical_ints(clauses)
+        return cls._from_canonical(ints, _checked_num_variables(num_variables, max_var))
+
+    def __reduce__(self):
+        # Pickles carry the int tuples, never Literal/Clause objects.
+        return (
+            CNFFormula._from_canonical,
+            (self._ints, self._num_variables, None, self._fingerprint),
+        )
 
     # -- basic protocol ----------------------------------------------------------
     @property
+    def int_clauses(self) -> tuple[IntClause, ...]:
+        """The clauses as canonical DIMACS int tuples, in input order."""
+        return self._ints
+
+    @property
     def clauses(self) -> tuple[Clause, ...]:
-        """The formula's clauses, in input order."""
+        """The formula's clauses as :class:`Clause` objects, in input order."""
+        if self._clauses is None:
+            literals = {
+                lit: Literal(abs(lit), lit > 0)
+                for lit in set(chain.from_iterable(self._ints))
+            }
+            self._clauses = tuple(
+                Clause.from_canonical(tuple(map(literals.__getitem__, ints)))
+                for ints in self._ints
+            )
         return self._clauses
 
     @property
@@ -82,34 +184,34 @@ class CNFFormula:
     @property
     def num_clauses(self) -> int:
         """Number of clauses ``m`` of the instance."""
-        return len(self._clauses)
+        return len(self._ints)
 
     @property
     def num_literals(self) -> int:
         """Total number of literal occurrences across all clauses."""
-        return sum(len(c) for c in self._clauses)
+        return sum(map(len, self._ints))
 
     def __iter__(self) -> Iterator[Clause]:
-        return iter(self._clauses)
+        return iter(self.clauses)
 
     def __len__(self) -> int:
-        return len(self._clauses)
+        return len(self._ints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CNFFormula):
             return NotImplemented
         return (
-            self._clauses == other._clauses
+            self._ints == other._ints
             and self._num_variables == other._num_variables
         )
 
     def __hash__(self) -> int:
-        return hash((self._clauses, self._num_variables))
+        return hash((self._ints, self._num_variables))
 
     def __str__(self) -> str:
-        if not self._clauses:
+        if not self._ints:
             return "(empty CNF)"
-        return " · ".join(str(c) for c in self._clauses)
+        return " · ".join(str(c) for c in self.clauses)
 
     def __repr__(self) -> str:
         return (
@@ -127,10 +229,10 @@ class CNFFormula:
         :mod:`repro.runtime` keys on this value.
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(f"p cnf {self._num_variables}\n".encode())
-            for ints in sorted(clause.to_ints() for clause in self._clauses):
-                digest.update(" ".join(str(v) for v in ints).encode())
+            digest = hashlib.sha256(f"p cnf {self._num_variables}\n".encode())
+            if self._ints:
+                lines = [" ".join(map(str, ints)) for ints in sorted(self._ints)]
+                digest.update("\n".join(lines).encode())
                 digest.update(b"\n")
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
@@ -138,29 +240,36 @@ class CNFFormula:
     # -- queries -------------------------------------------------------------------
     def variables(self) -> set[int]:
         """Variables actually mentioned by at least one clause."""
-        result: set[int] = set()
-        for clause in self._clauses:
-            result |= clause.variables()
-        return result
+        return set(map(abs, chain.from_iterable(self._ints)))
 
     def has_empty_clause(self) -> bool:
         """``True`` if any clause is empty (the formula is trivially UNSAT)."""
-        return any(c.is_empty for c in self._clauses)
+        return not all(self._ints)
 
     def is_ksat(self, k: int) -> bool:
         """``True`` when every clause has exactly ``k`` literals."""
-        return all(len(c) == k for c in self._clauses)
+        return all(len(c) == k for c in self._ints)
 
     def clause_size_histogram(self) -> dict[int, int]:
         """Mapping ``clause size -> count``."""
-        histogram: dict[int, int] = {}
-        for clause in self._clauses:
-            histogram[len(clause)] = histogram.get(len(clause), 0) + 1
-        return histogram
+        return dict(Counter(map(len, self._ints)))
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        """Evaluate the formula under a complete assignment."""
-        return all(clause.evaluate(assignment) for clause in self._clauses)
+        """Evaluate the formula under a complete assignment.
+
+        Raises :class:`CNFError` when a clause reaches a variable the
+        assignment does not bind (literals are read in canonical order).
+        """
+        for clause in self._ints:
+            for lit in clause:
+                var = abs(lit)
+                if var not in assignment:
+                    raise CNFError(f"variable x{var} is unassigned")
+                if bool(assignment[var]) == (lit > 0):
+                    break
+            else:
+                return False
+        return True
 
     def is_satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
         """Alias of :meth:`evaluate` matching solver terminology."""
@@ -168,16 +277,19 @@ class CNFFormula:
 
     def unsatisfied_clauses(self, assignment: Mapping[int, bool]) -> list[Clause]:
         """Clauses falsified by a complete assignment (for local search)."""
-        return [c for c in self._clauses if not c.evaluate(assignment)]
+        return [c for c in self.clauses if not c.evaluate(assignment)]
 
     # -- transformations ---------------------------------------------------------
     def with_clause(self, clause: ClauseLike) -> "CNFFormula":
         """A new formula with one extra clause appended."""
         new_clause = _coerce_clause(clause)
-        max_var = max(
-            [self._num_variables] + [lit.variable for lit in new_clause]
+        ints = tuple(new_clause.to_ints())
+        views = None if self._clauses is None else self._clauses + (new_clause,)
+        return CNFFormula._from_canonical(
+            self._ints + (ints,),
+            max(self._num_variables, _max_variable((ints,))),
+            views,
         )
-        return CNFFormula(self._clauses + (new_clause,), max_var)
 
     def with_assumptions(self, assumptions: Iterable[int]) -> "CNFFormula":
         """A new formula with one unit clause per assumption literal.
@@ -188,14 +300,14 @@ class CNFFormula:
         of :mod:`repro.incremental` rely on this equivalence). The variable
         count grows if an assumption mentions a new variable.
         """
-        units: list[Clause] = []
+        units: list[IntClause] = []
         max_var = self._num_variables
         for lit in assumptions:
             if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                 raise CNFError(f"invalid assumption literal {lit!r}")
-            units.append(Clause([lit]))
+            units.append((lit,))
             max_var = max(max_var, abs(lit))
-        return CNFFormula(self._clauses + tuple(units), max_var)
+        return CNFFormula._from_canonical(self._ints + tuple(units), max_var)
 
     def condition(self, variable: int, value: bool) -> "CNFFormula":
         """Condition the formula on ``x_variable = value``.
@@ -208,30 +320,26 @@ class CNFFormula:
             raise CNFError(
                 f"variable x{variable} out of range 1..{self._num_variables}"
             )
-        survivors: list[Clause] = []
-        for clause in self._clauses:
-            satisfied = False
-            remaining: list[Literal] = []
-            for lit in clause:
-                if lit.variable == variable:
-                    if lit.evaluate(value):
-                        satisfied = True
-                        break
-                else:
-                    remaining.append(lit)
-            if not satisfied:
-                survivors.append(Clause(remaining))
-        return CNFFormula(survivors, self._num_variables)
+        true_lit = variable if value else -variable
+        survivors: list[IntClause] = []
+        for clause in self._ints:
+            if true_lit in clause:
+                continue
+            if -true_lit in clause:
+                clause = tuple(lit for lit in clause if lit != -true_lit)
+            survivors.append(clause)
+        return CNFFormula._from_canonical(tuple(survivors), self._num_variables)
 
     def remove_tautologies(self) -> "CNFFormula":
         """Drop clauses that contain complementary literals."""
-        return CNFFormula(
-            [c for c in self._clauses if not c.is_tautology()], self._num_variables
+        return CNFFormula._from_canonical(
+            tuple(c for c in self._ints if len(set(map(abs, c))) == len(c)),
+            self._num_variables,
         )
 
     def to_ints(self) -> list[list[int]]:
         """DIMACS integer encoding of all clauses."""
-        return [clause.to_ints() for clause in self._clauses]
+        return list(map(list, self._ints))
 
     def renumbered(self) -> tuple["CNFFormula", dict[int, int]]:
         """Compact variable indices to ``1..k`` (k = #used variables).
@@ -241,8 +349,9 @@ class CNFFormula:
         """
         used = sorted(self.variables())
         mapping = {old: new for new, old in enumerate(used, start=1)}
-        clauses = [
-            Clause([Literal(mapping[l.variable], l.positive) for l in clause])
-            for clause in self._clauses
-        ]
-        return CNFFormula(clauses, len(used)), mapping
+        # The mapping is increasing, so canonical clauses stay canonical.
+        clauses = tuple(
+            tuple(mapping[lit] if lit > 0 else -mapping[-lit] for lit in clause)
+            for clause in self._ints
+        )
+        return CNFFormula._from_canonical(clauses, len(used)), mapping

@@ -129,7 +129,12 @@ class SampledNBLEngine:
             block = self._bank.sample_block(size)
             tau = reference_hyperspace(block, bindings)
             sigma = sigma_samples(block, self._formula)
+            # Free this block and its products before the next draw: with two
+            # blocks alive at once, whether the peak holds two or three blocks
+            # depends on where the allocator put the products.
+            del block
             stats.push_batch(tau * sigma)
+            del tau, sigma
 
             if config.record_trace:
                 trace_samples.append(stats.count)

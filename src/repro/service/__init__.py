@@ -6,7 +6,8 @@ of DIMACS solve jobs over a newline-delimited JSON protocol:
 
 * :mod:`repro.service.protocol` — the wire format: request parsing and
   validation, :class:`SolveJob` construction, response encoding, the
-  ``200 / 400 / 429 / 500 / 503`` response codes;
+  ``200 / 400 / 413 / 429 / 500 / 503`` response codes and the
+  :data:`MAX_REQUEST_BYTES` line limit;
 * :mod:`repro.service.server` — :class:`SolveService`, the asyncio
   event loop: in-flight deduplication by fingerprint (concurrent
   identical jobs share one solve), admission control with bounded-queue
@@ -50,9 +51,11 @@ from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.protocol import (
     BAD_REQUEST,
     FAILED,
+    MAX_REQUEST_BYTES,
     OK,
     PROTOCOL_VERSION,
     REJECTED,
+    TOO_LARGE,
     UNAVAILABLE,
     ProtocolError,
     build_job,
@@ -66,6 +69,7 @@ from repro.service.server import ServiceConfig, ServiceStats, SolveService
 __all__ = [
     "BAD_REQUEST",
     "FAILED",
+    "MAX_REQUEST_BYTES",
     "OK",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -76,6 +80,7 @@ __all__ = [
     "ServiceError",
     "ServiceStats",
     "SolveService",
+    "TOO_LARGE",
     "UNAVAILABLE",
     "build_job",
     "encode_message",

@@ -30,6 +30,10 @@ Response codes (the ``code`` field) follow the HTTP idiom:
        ``deduped`` flags
 400    malformed request (unparsable line, unknown op or field,
        bad formula, unknown solver spec, ...)
+413    the request line was longer than :data:`MAX_REQUEST_BYTES`;
+       the server discarded it through its newline and the
+       connection stays open (``id`` is the request's when it could
+       be read near either end of the line, else ``null``)
 429    rejected by admission control: the bounded queue was full —
        back off and resend
 500    the service failed internally while handling the request
@@ -63,9 +67,15 @@ PROTOCOL_VERSION = 1
 #: Response codes (HTTP-idiom).
 OK = 200
 BAD_REQUEST = 400
+TOO_LARGE = 413
 REJECTED = 429
 FAILED = 500
 UNAVAILABLE = 503
+
+#: Longest request line the server reads, in bytes without the newline
+#: (the ``limit`` of its stream readers, TCP and stdio alike). A longer line
+#: is discarded and answered ``413``.
+MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
 #: Request operations the server understands.
 OPS = ("solve", "ping", "stats", "shutdown")
@@ -280,5 +290,6 @@ def ok_response(
 
 
 def error_response(request_id: Optional[str], code: int, message: str) -> dict:
-    """A non-200 response (400 malformed / 429 rejected / 500 failed / 503 draining)."""
+    """A non-200 response (400 malformed / 413 too large / 429 rejected /
+    500 failed / 503 draining)."""
     return {"id": request_id, "code": code, "error": message}

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import re
 import signal
 import sys
 import time
@@ -51,9 +52,11 @@ from repro.service import protocol
 from repro.service.protocol import (
     BAD_REQUEST,
     FAILED,
+    MAX_REQUEST_BYTES,
     OK,
     PROTOCOL_VERSION,
     REJECTED,
+    TOO_LARGE,
     UNAVAILABLE,
     JobDefaults,
     ProtocolError,
@@ -331,19 +334,18 @@ class SolveService:
             response = error_response(
                 request_id, FAILED, f"{type(exc).__name__}: {exc}"
             )
-        elapsed = time.perf_counter() - started
+        self._record_request(op, response["code"], time.perf_counter() - started)
+        return response
+
+    def _record_request(self, op: str, code: int, elapsed: float) -> None:
         self._stats.requests += 1
-        self._stats.count_response(response["code"])
+        self._stats.count_response(code)
         if _telemetry.active():
             if _telemetry.tracing_active():
                 _telemetry.event(
-                    "service.request",
-                    op=op,
-                    code=response["code"],
-                    elapsed_seconds=elapsed,
+                    "service.request", op=op, code=code, elapsed_seconds=elapsed
                 )
-            _telemetry.record_service_request(op, response["code"], elapsed)
-        return response
+            _telemetry.record_service_request(op, code, elapsed)
 
     async def _dispatch(self, op: str, payload: dict, request_id: str) -> dict:
         if op == "ping":
@@ -526,8 +528,21 @@ class SolveService:
             self._running -= 1
             self._report_load()
 
+    def _too_large(self, overrun: "_Overrun") -> dict:
+        """The ``413`` answer to a line already discarded by the reader."""
+        self._stats.bad_requests += 1
+        self._record_request("invalid", TOO_LARGE, 0.0)
+        return error_response(
+            overrun.request_id,
+            TOO_LARGE,
+            f"request line longer than {MAX_REQUEST_BYTES} bytes; discarded",
+        )
+
     # -- transports ------------------------------------------------------------
-    async def _serve_line(self, raw: bytes, respond) -> None:
+    async def _serve_line(self, raw, respond) -> None:
+        if isinstance(raw, _Overrun):
+            await respond(self._too_large(raw))
+            return
         line = raw.decode("utf-8", errors="replace").strip()
         if not line:
             return
@@ -644,7 +659,7 @@ class SolveService:
 
             try:
                 while not self._closing.is_set():
-                    raw = await reader.readline()
+                    raw = await _read_line(reader)
                     if not raw:
                         break
                     task = asyncio.ensure_future(self._serve_line(raw, respond))
@@ -668,7 +683,9 @@ class SolveService:
                     pass
                 conn_tasks.discard(asyncio.current_task())
 
-        server = await asyncio.start_server(on_connection, host=host, port=port)
+        server = await asyncio.start_server(
+            on_connection, host=host, port=port, limit=MAX_REQUEST_BYTES
+        )
         bound = server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
         if ready is not None:
@@ -759,6 +776,75 @@ class SolveService:
         return asyncio.run(self.serve_stdio(stdin=stdin, stdout=stdout))
 
 
+class _Overrun:
+    """Stands in for a request line longer than :data:`MAX_REQUEST_BYTES`.
+
+    The reader has already discarded the line through its newline;
+    ``request_id`` is its ``id`` when one was found near either end.
+    """
+
+    __slots__ = ("request_id",)
+
+    def __init__(self, request_id: Optional[str]) -> None:
+        self.request_id = request_id
+
+
+#: Bytes kept from each end of a discarded line to look for its ``id``.
+_ID_WINDOW = 4096
+_ID_FIELD = re.compile(rb'"id"\s*:\s*("(?:[^"\\]|\\.)*")')
+
+
+def _find_request_id(fragment: bytes) -> Optional[str]:
+    match = _ID_FIELD.search(fragment)
+    if match is None:
+        return None
+    try:
+        return json.loads(match.group(1))
+    except ValueError:
+        return None
+
+
+async def _read_line(reader: asyncio.StreamReader):
+    """The next line from ``reader``: bytes (``b""`` at EOF) or an :class:`_Overrun`.
+
+    A line over the reader's limit (:data:`MAX_REQUEST_BYTES`) is read and
+    dropped chunk by chunk up to its newline, so the stream stays in sync
+    and the connection can go on serving the lines after it.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF, possibly after an unterminated last line
+    except asyncio.LimitOverrunError as exc:
+        chunk = await reader.readexactly(exc.consumed)
+    head, tail = chunk[:_ID_WINDOW], chunk[-_ID_WINDOW:]
+    while True:
+        try:
+            tail = (tail + await reader.readuntil(b"\n"))[-_ID_WINDOW:]
+            break
+        except asyncio.IncompleteReadError as exc:
+            tail = (tail + exc.partial)[-_ID_WINDOW:]
+            break
+        except asyncio.LimitOverrunError as exc:
+            chunk = await reader.readexactly(exc.consumed)
+            tail = (tail + chunk)[-_ID_WINDOW:]
+    return _Overrun(_find_request_id(head) or _find_request_id(tail))
+
+
+def _read_line_blocking(binary):
+    """:func:`_read_line` for a blocking binary stream (same limit, same result)."""
+    line = binary.readline(MAX_REQUEST_BYTES + 1)
+    if len(line) <= MAX_REQUEST_BYTES or line.endswith(b"\n"):
+        return line
+    head, tail = line[:_ID_WINDOW], line[-_ID_WINDOW:]
+    while not tail.endswith(b"\n"):
+        chunk = binary.readline(MAX_REQUEST_BYTES)
+        if not chunk:
+            break
+        tail = (tail + chunk)[-_ID_WINDOW:]
+    return _Overrun(_find_request_id(head) or _find_request_id(tail))
+
+
 def _peek_request_id(line: str) -> Optional[str]:
     """Best-effort request id from a raw line (for a 503 on a dying task)."""
     try:
@@ -770,26 +856,27 @@ def _peek_request_id(line: str) -> Optional[str]:
 
 
 async def _stdin_readline(loop, stdin):
-    """An async ``readline() -> bytes`` over ``stdin``, pipe or not.
+    """An async ``readline()`` over ``stdin``, pipe or not (see :func:`_read_line`).
 
     Pipes get a real non-blocking :class:`asyncio.StreamReader`; anything
     the event loop cannot poll (a regular file, a PTY on some platforms)
-    falls back to one reader thread.
+    falls back to one reader thread. Both enforce
+    :data:`MAX_REQUEST_BYTES`.
     """
     try:
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=MAX_REQUEST_BYTES)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), stdin
         )
 
-        async def readline() -> bytes:
-            return await reader.readline()
+        async def readline():
+            return await _read_line(reader)
 
         return readline
     except (ValueError, OSError, NotImplementedError):
         binary = getattr(stdin, "buffer", stdin)
 
-        async def readline() -> bytes:
-            return await loop.run_in_executor(None, binary.readline)
+        async def readline():
+            return await loop.run_in_executor(None, _read_line_blocking, binary)
 
         return readline

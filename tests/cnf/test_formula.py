@@ -146,3 +146,70 @@ class TestFingerprint:
         clone = pickle.loads(pickle.dumps(formula))
         assert clone.fingerprint() == fingerprint
         assert clone == formula
+
+
+def _wire_clauses(n: int = 3000, seed: int = 5) -> list:
+    """Implication and parity chains shaped like served ``clauses`` requests."""
+    import random
+
+    rng = random.Random(seed)
+    clauses = [[1]] + [[-i, i + 1] for i in range(1, n // 2)]
+    for v in range(n // 2, n - 1):
+        a, b, c = v, v + 1, rng.randint(1, n)
+        clauses += [[-a, -b, c], [a, b, c], [a, -b, -c], [-a, b, -c]]
+    return clauses
+
+
+class TestIntForm:
+    def test_from_ints_builds_no_objects_until_asked(self):
+        formula = CNFFormula.from_ints([[2, -1, 2], [3]])
+        assert formula.int_clauses == ((-1, 2), (3,))
+        assert formula._clauses is None
+        assert formula.num_literals == 3
+        assert formula.evaluate({1: False, 2: False, 3: True})
+        assert formula._clauses is None
+        assert formula.clauses == (Clause([-1, 2]), Clause([3]))
+        assert formula.clauses is formula.clauses  # built once
+
+    def test_clause_objects_are_kept_as_the_view(self):
+        clause = Clause([2, -1])
+        formula = CNFFormula([clause, [3]])
+        assert formula.clauses[0] is clause
+        assert formula.int_clauses == ((-1, 2), (3,))
+
+    def test_evaluate_raises_on_unassigned_variable(self):
+        formula = CNFFormula.from_ints([[1, 2]])
+        with pytest.raises(CNFError):
+            formula.evaluate({2: True})
+        assert formula.evaluate({1: True})
+        assert not CNFFormula.from_ints([[1], []]).evaluate({1: True})
+
+    def test_pickle_round_trip_keeps_equality_and_fingerprint(self):
+        import pickle
+
+        for formula in (
+            CNFFormula.from_ints(_wire_clauses()),
+            CNFFormula([Clause([2, -1]), Clause([])], num_variables=4),
+        ):
+            formula.clauses  # views built: they must not travel
+            clone = pickle.loads(pickle.dumps(formula))
+            assert clone == formula
+            assert clone.num_variables == formula.num_variables
+            assert clone.fingerprint() == formula.fingerprint()
+            assert clone.clauses == formula.clauses
+
+    def test_pickle_carries_ints_and_is_no_larger_than_the_wire_line(self):
+        import json
+        import pickle
+
+        clauses = _wire_clauses()
+        line = json.dumps(
+            {"op": "solve", "id": "r1", "clauses": clauses}, separators=(",", ":")
+        )
+        formula = CNFFormula.from_ints(clauses)
+        formula.fingerprint()
+        formula.clauses
+        payload = pickle.dumps(formula)
+        assert b"repro.cnf.literal" not in payload
+        assert b"repro.cnf.clause" not in payload
+        assert len(payload) <= len(line)

@@ -8,6 +8,8 @@ instances with realistic sample budgets.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,25 @@ class TestEngineMechanics:
         a = SampledNBLEngine(example6, config).check()
         b = SampledNBLEngine(example6, config).check()
         assert a.mean == pytest.approx(b.mean)
+
+    def test_one_sample_block_alive_at_a_time(self):
+        formula = CNFFormula.from_ints(
+            [[1, -2, 3], [-1, 2, 4], [2, -3, -4], [1, 3, -4], [-2, 3, 4], [-1, -3, 4]]
+        )
+        config = NBLConfig(
+            carrier=UniformCarrier(), max_samples=60_000, block_size=20_000,
+            convergence="fixed", seed=3,
+        )
+        engine = SampledNBLEngine(formula, config)
+        block_bytes = formula.num_clauses * formula.num_variables * 2 * 20_000 * 8
+        tracemalloc.start()
+        try:
+            engine.check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Two blocks alive across a draw would put the peak above 2 blocks.
+        assert peak < 1.5 * block_bytes
 
     def test_sn_block_shape(self, example6, fast_bipolar_config):
         engine = SampledNBLEngine(example6, fast_bipolar_config)

@@ -143,3 +143,34 @@ class TestValidation:
         seen = []
         WorkerPool().run(_jobs(3), on_outcome=lambda o: seen.append(o.label))
         assert seen == ["instance-0", "instance-1", "instance-2"]
+
+
+class TestProcessPoolIntForm:
+    def test_two_workers_match_inline_on_int_built_formulas(self):
+        """Formulas cross the process boundary as int tuples, intact."""
+        clauses = [[1]] + [[-i, i + 1] for i in range(1, 400)]
+        jobs = [
+            SolveJob(formula=CNFFormula.from_ints(clauses), label="chain", solver="cdcl"),
+            SolveJob(
+                formula=CNFFormula.from_ints(clauses + [[-400]]),
+                label="broken-chain",
+                solver="cdcl",
+            ),
+        ] + [
+            SolveJob(
+                formula=CNFFormula.from_ints(random_ksat(30, 128, seed=s).to_ints()),
+                label=f"random-{s}",
+                solver="cdcl",
+            )
+            for s in range(4)
+        ]
+        inline = WorkerPool(workers=1, master_seed=2).run(jobs)
+        pooled = WorkerPool(workers=2, master_seed=2).run(jobs)
+
+        def summary(outcome):
+            data = outcome.to_dict()
+            data.pop("elapsed_seconds", None)
+            return data
+
+        assert [summary(o) for o in pooled] == [summary(o) for o in inline]
+        assert [o.status for o in inline][:2] == ["SAT", "UNSAT"]

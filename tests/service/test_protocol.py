@@ -89,6 +89,10 @@ class TestBuildJob:
             {"op": "solve", "dimacs": 3},
             {"op": "solve", "dimacs": "p cnf oops"},
             {"op": "solve", "clauses": "nope"},
+            {"op": "solve", "clauses": [[1, 0]]},
+            {"op": "solve", "clauses": [[1, True]]},
+            {"op": "solve", "clauses": [[1.5]]},
+            {"op": "solve", "clauses": [["3"]]},
             {"op": "solve", "dimacs": DIMACS, "solver": "unknown-solver"},
             {"op": "solve", "dimacs": DIMACS, "assumptoins": [1]},  # typo
             {"op": "solve", "dimacs": DIMACS, "timeout": -1},

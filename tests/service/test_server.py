@@ -363,3 +363,54 @@ class TestTcpRoundTrip:
             assert client.shutdown()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+class TestIntFormulaPath:
+    def test_cdcl_solve_of_clauses_builds_no_clause_objects(self, monkeypatch):
+        """Wire ints reach the arena, the model check and the response as ints."""
+        from repro.cnf.clause import Clause
+        from repro.cnf.literal import Literal
+        from repro.runtime.pool import WorkerPool
+
+        built = []
+        original_post_init = Literal.__post_init__
+        original_clause_init = Clause.__init__
+
+        def count_literal(self):
+            built.append("Literal")
+            original_post_init(self)
+
+        def count_clause(self, literals):
+            built.append("Clause")
+            original_clause_init(self, literals)
+
+        def count_view(cls, literals):
+            built.append("view")
+            raise AssertionError("clause views built on the cdcl path")
+
+        monkeypatch.setattr(Literal, "__post_init__", count_literal)
+        monkeypatch.setattr(Clause, "__init__", count_clause)
+        monkeypatch.setattr(Clause, "from_canonical", classmethod(count_view))
+        service = _service(
+            executor=WorkerPool(workers=1).executor(inline=True), solver="cdcl"
+        )
+        chain = [[1]] + [[-i, i + 1] for i in range(1, 300)]
+
+        def line(request_id, clauses):
+            return json.dumps(
+                {"op": "solve", "id": request_id, "clauses": clauses}
+            )
+
+        async def run():
+            return [
+                await service.handle_line(line("sat", chain)),
+                await service.handle_line(line("unsat", chain + [[-300]])),
+                await service.handle_line(line("hit", chain[::-1])),
+            ]
+
+        sat, unsat, hit = asyncio.run(run())
+        assert (sat["code"], sat["status"]) == (OK, "SAT")
+        assert sat["result"]["verified"]
+        assert (unsat["code"], unsat["status"]) == (OK, "UNSAT")
+        assert hit["from_cache"] and hit["status"] == "SAT"
+        assert built == []
